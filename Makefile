@@ -48,9 +48,10 @@ chaos:
 churn:
 	$(GO) test -race -run 'RegistryChurnNoLeaks|EpochScheduler|HundredThousand' ./internal/serve/
 
-# Short fuzz pass over the checkpoint envelope decoder: truncated,
-# bit-flipped and CRC-mismatched inputs must error — never panic — and
-# the rotated-generation fallback must always recover. The committed
+# Short fuzz pass over the one checkpoint file decoder (and the engine
+# checkpoint file reader sharing its frame): truncated, bit-flipped,
+# CRC-mismatched, JSON and wrong-kind inputs must error — never panic —
+# and the rotated-generation fallback must always recover. The committed
 # seed corpus under internal/serve/testdata/fuzz rides along.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpointFile$$' -fuzztime 10s ./internal/serve/

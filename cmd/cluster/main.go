@@ -19,7 +19,7 @@
 // Usage:
 //
 //	cluster [-leaves 20] [-hours 12] [-step 1s] [-seed 42] [-workers 0]
-//	        [-checkpoint ckpt.json -checkpoint-at 6h] [-resume ckpt.json]
+//	        [-checkpoint run.ckpt -checkpoint-at 6h] [-resume run.ckpt]
 //	        [-crashes N] [-blackouts N] [-slowdowns N] [-actfails N]
 //	        [-bekills N] [-fault-seed 7]
 package main

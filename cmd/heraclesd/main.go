@@ -25,15 +25,16 @@
 //
 // -checkpoint-dir enables crash recovery: every -checkpoint-every
 // (default 30s) the daemon snapshots each live instance's full
-// simulation state into <dir>/<id>.json (atomically, write-then-rename,
-// wrapped in a checksummed envelope; the previous generation rotates to
-// <id>.json.1). On startup the daemon restores every checkpoint found
-// in the directory — each resumes bit-identically from its snapshot
-// epoch — and skips the flag-bootstrapped instance when it restored at
-// least one. A file that fails its checksum (crash mid-write, disk
-// corruption) is refused and the rotated previous generation restores
-// instead. Restored instances get fresh ids; the superseded files are
-// removed once their replacements are written.
+// simulation state into <dir>/<id>.ckpt (atomically, write-then-rename,
+// in the CRC-checked checkpoint file format; the previous generation
+// rotates to <id>.ckpt.1). On startup the daemon restores every
+// checkpoint found in the directory — each resumes bit-identically from
+// its snapshot epoch — and skips the flag-bootstrapped instance when it
+// restored at least one. A file that fails its checksum (crash
+// mid-write, disk corruption) is refused and the rotated previous
+// generation restores instead, also when a crash mid-rotation left only
+// <id>.ckpt.1. Restored instances get fresh ids; the superseded files
+// are removed once their replacements are written.
 //
 // Usage:
 //
@@ -54,6 +55,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -84,13 +87,8 @@ func main() {
 	maxInstances := flag.Int("max-instances", 0, "instance pool cap; creates beyond it fail with 503 (0 = default 64)")
 	ckptDir := flag.String("checkpoint-dir", "", "periodically snapshot every instance into this directory and crash-resume from it on startup")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "wall-clock cadence of -checkpoint-dir snapshots")
-	ckptFormat := flag.String("checkpoint-format", "binary", "encoding for -checkpoint-dir snapshots: binary (.ckpt files) or json (.json files); resume auto-detects both")
 	pprofAddr := flag.String("pprof-addr", "", "separate listen address for pprof profiles and Go runtime metrics (empty = off)")
 	flag.Parse()
-
-	if *ckptFormat != "binary" && *ckptFormat != "json" {
-		log.Fatalf("heraclesd: -checkpoint-format %q, want binary or json", *ckptFormat)
-	}
 
 	if *pprofAddr != "" {
 		dbg, err := debughttp.Start(*pprofAddr)
@@ -227,7 +225,7 @@ func main() {
 
 	var ckptStop func()
 	if *ckptDir != "" {
-		ckptStop = startCheckpointer(srv, *ckptDir, *ckptEvery, *ckptFormat)
+		ckptStop = startCheckpointer(srv, *ckptDir, *ckptEvery)
 	}
 
 	interrupt := make(chan os.Signal, 1)
@@ -306,12 +304,10 @@ func main() {
 // under a fresh id. Restored files stay in place until the checkpointer
 // has written their replacements — deleting them here would open a
 // data-loss window in which a second crash finds an empty directory.
-// Unreadable or unrestorable files are set aside as *.failed (preserved
-// for inspection, out of the restore glob) with a log line — recovery
-// should salvage what it can, not refuse to start. Both snapshot
-// encodings resume — *.json and binary *.ckpt — and the reader detects
-// each file's format from its bytes, so a directory written across
-// -checkpoint-format changes restores in full.
+// Unreadable or unrestorable files — JSON ones included — are set aside,
+// with their rotated generation, as *.failed (preserved for inspection,
+// out of the restore glob) with a log line: recovery should salvage what
+// it can, not refuse to start.
 func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs int) int {
 	paths, err := checkpointGlob(dir)
 	if err != nil {
@@ -321,9 +317,11 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 	restored := 0
 	for _, path := range paths {
 		fail := func(err error) {
-			log.Printf("heraclesd: restoring %s: %v (kept as %s.failed)", path, err, path)
-			if err := os.Rename(path, path+".failed"); err != nil {
-				log.Printf("heraclesd: %v", err)
+			log.Printf("heraclesd: restoring %s: %v (kept as *.failed)", path, err)
+			for _, p := range []string{path, path + ".1"} {
+				if err := os.Rename(p, p+".failed"); err != nil && !os.IsNotExist(err) {
+					log.Printf("heraclesd: %v", err)
+				}
 			}
 		}
 		cp, src, err := serve.ReadCheckpointFallback(path)
@@ -332,7 +330,7 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 			continue
 		}
 		if src != path {
-			log.Printf("heraclesd: %s failed verification, falling back to previous generation %s", path, src)
+			log.Printf("heraclesd: %s is missing or failed verification, falling back to previous generation %s", path, src)
 		}
 		inst, err := srv.CreateInstance(serve.InstanceSpec{Restore: cp, Speed: speed, MaxEpochs: maxEpochs})
 		if err != nil {
@@ -340,39 +338,44 @@ func restoreCheckpoints(srv *serve.Server, dir string, speed float64, maxEpochs 
 			continue
 		}
 		log.Printf("heraclesd: restored instance %s from %s (epoch %d)",
-			inst.ID(), path, cp.Engine.Epoch)
+			inst.ID(), src, cp.Engine.Epoch)
 		restored++
 	}
 	return restored
 }
 
-// checkpointGlob lists every checkpoint file under dir, across both
-// encodings: JSON snapshots as *.json, binary ones as *.ckpt.
+// checkpointGlob lists the checkpoint files under dir by primary path:
+// every *.ckpt, plus the primary of every rotated *.ckpt.1 whose primary
+// is missing. A crash between the writer's two renames leaves only the
+// rotated generation, which ReadCheckpointFallback restores.
 func checkpointGlob(dir string) ([]string, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	paths, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil {
 		return nil, err
 	}
-	ckpts, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	rotated, err := filepath.Glob(filepath.Join(dir, "*.ckpt.1"))
 	if err != nil {
 		return nil, err
 	}
-	return append(paths, ckpts...), nil
+	for _, p := range rotated {
+		primary := strings.TrimSuffix(p, ".1")
+		if _, err := os.Stat(primary); os.IsNotExist(err) {
+			paths = append(paths, primary)
+		}
+	}
+	sort.Strings(paths)
+	return paths, nil
 }
 
-// startCheckpointer snapshots every live instance into dir on a ticker,
-// in the format named by -checkpoint-format ("binary" writes *.ckpt via
-// the binary envelope, "json" writes *.json). The returned stop function
-// takes one final snapshot pass (while the instance drivers still run)
-// and then joins the goroutine; call it before draining the server.
-func startCheckpointer(srv *serve.Server, dir string, every time.Duration, format string) func() {
+// startCheckpointer snapshots every live instance into dir/<id>.ckpt on
+// a ticker. The returned stop function takes one final snapshot pass
+// (while the instance drivers still run) and then joins the goroutine;
+// call it before draining the server.
+func startCheckpointer(srv *serve.Server, dir string, every time.Duration) func() {
 	if every <= 0 {
 		every = 30 * time.Second
 	}
-	ext, write := ".ckpt", serve.WriteCheckpointFileBinary
-	if format == "json" {
-		ext, write = ".json", serve.WriteCheckpointFile
-	}
+	const ext = ".ckpt"
 	stopc := make(chan struct{})
 	donec := make(chan struct{})
 	pass := func() {
@@ -383,7 +386,7 @@ func startCheckpointer(srv *serve.Server, dir string, every time.Duration, forma
 				continue // instance stopped mid-pass
 			}
 			path := filepath.Join(dir, inst.ID()+ext)
-			if err := write(path, cp); err != nil {
+			if err := serve.WriteCheckpointFile(path, cp); err != nil {
 				log.Printf("heraclesd: checkpoint %s: %v", inst.ID(), err)
 				continue
 			}
@@ -391,8 +394,7 @@ func startCheckpointer(srv *serve.Server, dir string, every time.Duration, forma
 		}
 		// Drop files for instances that no longer exist so a restart does
 		// not resurrect deleted machines; their rotated previous
-		// generations go with them. Both encodings are swept, so stale
-		// snapshots from before a -checkpoint-format change go too.
+		// generations go with them, orphaned ones included.
 		if paths, err := checkpointGlob(dir); err == nil {
 			for _, p := range paths {
 				if !live[filepath.Base(p)] {

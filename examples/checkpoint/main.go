@@ -5,7 +5,7 @@
 //
 // The run is a 20-minute flash-crowd scenario with the BE job scheduler
 // attached. At minute 8 the engine's full state — machines, controllers,
-// scheduler, scenario cursor — is serialized to a JSON file; the resumed
+// scheduler, scenario cursor — is written to a checkpoint file; the resumed
 // run replays only the remaining epochs, and the example verifies every
 // one of them matches the uninterrupted reference exactly.
 package main
@@ -54,8 +54,8 @@ func main() {
 	full := heracles.RunClusterScenario(cfg, sc)
 
 	// Interrupted run: snapshot at minute 8, persisted like a real
-	// operator would (atomic write-then-rename).
-	path := filepath.Join(os.TempDir(), "heracles-example.ckpt.json")
+	// operator would (CRC-checked, atomic write-then-rename).
+	path := filepath.Join(os.TempDir(), "heracles-example.ckpt")
 	ckCfg := cfg
 	ckCfg.CheckpointAt = 8 * time.Minute
 	ckCfg.OnCheckpoint = func(cp *heracles.EngineCheckpoint) {
@@ -95,4 +95,5 @@ func main() {
 	fmt.Printf("resumed run: jobs completed %d/%d, goodput %.1f%% (accounting continued across the restore)\n",
 		rs.Sched.Completed, rs.Sched.Submitted, 100*rs.Sched.GoodputFrac())
 	os.Remove(path)
+	os.Remove(path + ".1")
 }

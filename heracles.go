@@ -236,8 +236,10 @@ var (
 	// RestoreEngine rebuilds an engine from a checkpoint; the
 	// continuation is bit-identical to an uninterrupted run.
 	RestoreEngine = engine.Restore
-	// ReadCheckpoint loads a checkpoint persisted with
-	// EngineCheckpoint.WriteFile.
+	// ReadCheckpoint loads a checkpoint file persisted with
+	// EngineCheckpoint.WriteFile, verifying its CRC-32C frame first; any
+	// other file (JSON, an instance checkpoint, a corrupt one) is an
+	// error.
 	ReadCheckpoint = engine.ReadFile
 )
 

@@ -1,10 +1,10 @@
-// Package codec implements the hand-rolled little-endian binary
-// primitives behind the engine's binary checkpoint format (DESIGN.md
-// §16). It exists so the checkpoint hot paths — periodic snapshots,
-// in-process shard migration, supervisor restart — pay fixed-width
-// copies instead of reflection-driven JSON, while staying dependency-
-// free and byte-deterministic: the same state always encodes to the
-// same bytes.
+// Package codec implements the one checkpoint format (DESIGN.md §16):
+// the hand-rolled little-endian binary primitives the engine and
+// instance checkpoints encode with, and the CRC-32C frame and atomic
+// rotating file writer every checkpoint file and migration body goes
+// through. Checkpoints pay fixed-width copies instead of
+// reflection-driven JSON, stay dependency-free and are
+// byte-deterministic: the same state always encodes to the same bytes.
 //
 // Writer appends to a caller-owned buffer (reuse it across encodes to
 // amortise allocation); Reader consumes a byte slice with a sticky
@@ -33,9 +33,6 @@ func NewWriter(buf []byte) *Writer { return &Writer{buf: buf} }
 
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
 
 // U8 writes one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -99,26 +96,13 @@ func (w *Writer) Ints(v []int) {
 	}
 }
 
-// Reserve32 appends a zero uint32 placeholder and returns its offset for
-// a later Patch32 — the idiom for prefixes (lengths, checksums) whose
-// value is only known after the bytes they describe have been written.
-func (w *Writer) Reserve32() int {
-	off := len(w.buf)
-	w.U32(0)
-	return off
-}
-
-// Patch32 overwrites a placeholder written by Reserve32.
-func (w *Writer) Patch32(off int, v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[off:], v)
-}
-
 // Nest appends a nested encoding with a uint32 length prefix. fn must
 // append its encoding to the buffer it is given and return the extended
 // buffer — the signature of an AppendBinary-style encoder — so nesting
 // costs no intermediate allocation.
 func (w *Writer) Nest(fn func([]byte) []byte) {
-	off := w.Reserve32()
+	off := len(w.buf)
+	w.U32(0) // the length, patched once fn has appended
 	w.buf = fn(w.buf)
 	binary.LittleEndian.PutUint32(w.buf[off:], uint32(len(w.buf)-off-4))
 }

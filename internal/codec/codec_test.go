@@ -170,3 +170,35 @@ func TestWriterBufferReuse(t *testing.T) {
 		t.Fatal("reused buffer reallocated")
 	}
 }
+
+// TestFrame round-trips a frame appended after existing bytes and
+// refuses every frame defect by name: another kind, JSON, a truncated
+// header, version skew and a flipped payload bit.
+func TestFrame(t *testing.T) {
+	payload := []byte("payload")
+	buf := AppendFrame([]byte("prefix"), EngineMagic, 3, func(b []byte) []byte { return append(b, payload...) })
+	frame := buf[len("prefix"):]
+	if got, err := OpenFrame(frame, EngineMagic, 3); err != nil || string(got) != string(payload) {
+		t.Fatalf("OpenFrame = %q, %v; want %q", got, err, payload)
+	}
+	flipped := append([]byte(nil), frame...)
+	flipped[len(flipped)-1] ^= 1
+	skew := append([]byte(nil), frame...)
+	skew[4]++
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"other kind", AppendFrame(nil, InstanceMagic, 3, func(b []byte) []byte { return b }), "holds an instance checkpoint, want an engine checkpoint"},
+		{"JSON", []byte(` {"version":1}`), "holds JSON"},
+		{"empty", nil, "holds no data"},
+		{"truncated header", frame[:FrameHeaderLen-1], "truncated"},
+		{"version skew", skew, "version 4"},
+		{"flipped bit", flipped, "checksum mismatch"},
+	} {
+		if _, err := OpenFrame(c.data, EngineMagic, 3); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: OpenFrame error = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}

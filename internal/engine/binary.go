@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -17,25 +18,23 @@ import (
 
 // The binary checkpoint codec (DESIGN.md §16): a versioned, length-
 // prefixed little-endian encoding of Checkpoint, hand-rolled over
-// internal/codec. It exists for the hot paths — periodic heraclesd
-// snapshots, in-process shard migration, supervisor restart — where the
-// reflection-driven JSON codec dominates the cost of a snapshot; JSON
-// remains the wire/interchange format (REST bodies, cross-daemon
-// migration, operator tooling). Both codecs decode to the same
-// Checkpoint value, so a restored engine continues bit-identically
-// regardless of which format carried the state.
+// internal/codec. It is the one format engine state is stored in or
+// shipped in — engine checkpoint files (WriteFile), heraclesd snapshots,
+// supervisor restart, shard and cross-daemon migration — because
+// reflection-driven JSON would dominate the cost of a snapshot. JSON
+// (Encode/DecodeCheckpoint) is only the REST view. Both decode to the
+// same Checkpoint value, so a restored engine continues bit-identically.
 //
 // Layout: a 4-byte magic ("HRCB"), a uint16 format version, then the
 // checkpoint fields in fixed order with uint32 length prefixes on every
 // string and slice. Optional sections (scenario, sched, faults, budget)
 // carry a presence byte. Maps encode in sorted key order, so the same
 // state always produces the same bytes. Integrity (CRC-32C) is the
-// enclosing envelope's job — see internal/serve's checkpoint files —
-// keeping codec, checksum and storage concerns separate, exactly like
-// the JSON path.
+// enclosing frame's job — codec.AppendFrame, around engine files and
+// internal/serve's instance checkpoints — keeping codec, checksum and
+// storage concerns separate.
 
-// binaryMagic distinguishes binary checkpoints from JSON ones (JSON
-// always starts with '{' or whitespace); readers auto-detect by prefix.
+// binaryMagic marks a binary checkpoint.
 var binaryMagic = [4]byte{'H', 'R', 'C', 'B'}
 
 // BinaryVersion is the binary layout version. DecodeCheckpointBinary
@@ -43,12 +42,6 @@ var binaryMagic = [4]byte{'H', 'R', 'C', 'B'}
 // (and document the change in DESIGN.md §16). It is independent of
 // CheckpointVersion, which versions the logical state schema.
 const BinaryVersion = 1
-
-// IsBinaryCheckpoint reports whether data begins with the binary
-// checkpoint magic — the auto-detection used by every resume path.
-func IsBinaryCheckpoint(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[:4]) == binaryMagic
-}
 
 // EncodeBinary serialises the checkpoint to a fresh buffer.
 func (cp *Checkpoint) EncodeBinary() []byte { return cp.AppendBinary(nil) }
@@ -124,7 +117,7 @@ func (cp *Checkpoint) AppendBinary(buf []byte) []byte {
 // any kind — truncation, oversized length claims, version skew, trailing
 // garbage — returns an error, never a panic.
 func DecodeCheckpointBinary(data []byte) (*Checkpoint, error) {
-	if !IsBinaryCheckpoint(data) {
+	if !bytes.HasPrefix(data, binaryMagic[:]) {
 		return nil, fmt.Errorf("engine: not a binary checkpoint (missing %q magic)", binaryMagic)
 	}
 	r := codec.NewReader(data[4:])

@@ -2,6 +2,12 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,8 +39,8 @@ func TestBinaryCheckpointRoundTrip(t *testing.T) {
 		pre.Close()
 
 		data := cp.EncodeBinary()
-		if !engine.IsBinaryCheckpoint(data) {
-			t.Fatalf("k=%d: encoded checkpoint not detected as binary", k)
+		if !bytes.HasPrefix(data, []byte("HRCB")) {
+			t.Fatalf("k=%d: encoded checkpoint lacks the binary magic", k)
 		}
 		if again := cp.EncodeBinary(); !bytes.Equal(data, again) {
 			t.Fatalf("k=%d: binary encoding is not deterministic", k)
@@ -149,5 +155,137 @@ func TestBinaryEncodeBufferReuse(t *testing.T) {
 	}
 	if !bytes.Equal(buf, want) {
 		t.Fatal("reused-buffer encode produced different bytes")
+	}
+}
+
+// TestBinaryCheckpointCoversEveryField fills every exported field of a
+// Checkpoint — machines, telemetry, controllers, scheduler, faults, SLO
+// trackers — with non-zero values and requires the binary round trip to
+// preserve its JSON view. The binary codec is hand-written field by
+// field, so a field added to any of these states without a codec line
+// fails here instead of silently vanishing on restore.
+func TestBinaryCheckpointCoversEveryField(t *testing.T) {
+	var cp engine.Checkpoint
+	n := 0
+	fillNonZero(t, reflect.ValueOf(&cp).Elem(), &n)
+
+	decoded, err := engine.DecodeCheckpointBinary(cp.EncodeBinary())
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	want, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("binary round trip dropped or changed a field:\n got  %s\n want %s", got, want)
+	}
+}
+
+// fillNonZero sets every exported field reachable from v to a non-zero
+// value drawn from the counter n, so two fields swapped by the codec
+// also differ: pointers are allocated, slices get two elements, maps
+// one entry. Integers stay small, since hardware counts size buffers.
+func fillNonZero(t *testing.T, v reflect.Value, n *int) {
+	*n++
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(1 + *n%16))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(1 + *n%16))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*n) + 0.5)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillNonZero(t, v.Elem(), n)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillNonZero(t, v.Index(i), n)
+		}
+	case reflect.Map:
+		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		fillNonZero(t, k, n)
+		fillNonZero(t, e, n)
+		v.Set(reflect.MakeMap(v.Type()))
+		v.SetMapIndex(k, e)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fillNonZero(t, v.Field(i), n)
+			}
+		}
+	default:
+		t.Fatalf("fillNonZero: unhandled kind %s (%s)", v.Kind(), v.Type())
+	}
+}
+
+// TestCheckpointWriteFileReadFile pins the engine checkpoint file: it
+// round-trips through WriteFile/ReadFile with the previous generation
+// rotated to "<path>.1", and ReadFile refuses a corrupt file and the
+// retired indented-JSON file form.
+func TestCheckpointWriteFileReadFile(t *testing.T) {
+	e := engine.New(clusterConfig(1, testJobs(4)))
+	e.InstallScenario(testScenario(200 * time.Second))
+	runStats(e, 20)
+	first := e.Snapshot()
+	runStats(e, 10)
+	cp := e.Snapshot()
+	e.Close()
+
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	for _, c := range []*engine.Checkpoint{first, cp} {
+		if err := c.WriteFile(path); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	}
+	for p, want := range map[string]*engine.Checkpoint{path: cp, path + ".1": first} {
+		got, err := engine.ReadFile(p)
+		if err != nil {
+			t.Fatalf("read %s: %v", p, err)
+		}
+		var a, b bytes.Buffer
+		if err := got.Encode(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("%s: read back a different checkpoint", p)
+		}
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.ReadFile(path); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("read of a corrupt file = %v, want a checksum mismatch", err)
+	}
+
+	var old bytes.Buffer
+	if err := cp.Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.ReadFile(path); err == nil || !strings.Contains(err.Error(), "JSON") {
+		t.Fatalf("read of a JSON checkpoint file = %v, want a refusal naming JSON", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"heracles/internal/codec"
 	"heracles/internal/core"
 	"heracles/internal/fault"
 	"heracles/internal/machine"
@@ -351,14 +352,15 @@ func Restore(cfg Config, cp *Checkpoint, sc *scenario.Scenario) (*Engine, error)
 	return e, nil
 }
 
-// Encode writes the checkpoint as indented JSON.
+// Encode writes the checkpoint's JSON view, indented. JSON is for
+// reading a checkpoint, not storing one: files use WriteFile.
 func (cp *Checkpoint) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(cp)
 }
 
-// DecodeCheckpoint reads a JSON checkpoint.
+// DecodeCheckpoint reads a checkpoint's JSON view.
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.NewDecoder(r).Decode(&cp); err != nil {
@@ -367,32 +369,30 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return &cp, nil
 }
 
-// WriteFile atomically persists the checkpoint (write-then-rename, so a
-// crash mid-write never corrupts an existing checkpoint).
+// fileVersion is the engine checkpoint file's payload version; the
+// payload is the binary checkpoint, which carries its own layout
+// version too.
+const fileVersion = 1
+
+// WriteFile atomically persists the checkpoint as a checkpoint file: the
+// binary encoding in a CRC-32C frame of kind codec.EngineMagic, written
+// then renamed over path, with the previous generation rotated to
+// "<path>.1" (codec.WriteFile).
 func (cp *Checkpoint) WriteFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := cp.Encode(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return codec.WriteFile(path, codec.AppendFrame(nil, codec.EngineMagic, fileVersion, cp.AppendBinary))
 }
 
-// ReadFile loads a checkpoint persisted with WriteFile.
+// ReadFile loads a checkpoint persisted with WriteFile, verifying the
+// frame before decoding. Any other file — an instance checkpoint, JSON,
+// a corrupt or truncated file — is an error.
 func ReadFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return DecodeCheckpoint(f)
+	payload, err := codec.OpenFrame(data, codec.EngineMagic, fileVersion)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %s: %w", path, err)
+	}
+	return DecodeCheckpointBinary(payload)
 }

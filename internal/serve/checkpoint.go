@@ -86,7 +86,7 @@ func (i *Instance) buildCheckpoint() *InstanceCheckpoint {
 // allocation. On an encode failure the previous good checkpoint is kept
 // — a stale restart point beats none. stepMu must be held.
 func (i *Instance) refreshRestartCheckpoint() {
-	data, err := AppendCheckpointFileBinary(i.lastCP[:0], i.buildCheckpoint())
+	data, err := AppendCheckpointFile(i.lastCP[:0], i.buildCheckpoint())
 	if err == nil {
 		i.lastCP = data
 	}

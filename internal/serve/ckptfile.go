@@ -1,141 +1,131 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
+
+	"heracles/internal/codec"
+	"heracles/internal/engine"
 )
 
-// Checkpoint files on disk are wrapped in an integrity envelope: a
-// version, a CRC32-C checksum of the payload, and the serialized
-// InstanceCheckpoint itself. A daemon that crashed mid-write (or a disk
-// that flipped bits) must never feed a half-written snapshot into a
-// restore — a corrupt file is refused with a clear error and the caller
-// falls back to the previous good generation, which the writer rotates
-// to "<path>.1" before each replacement.
+// Checkpoint files (DESIGN.md §12, §16) are the one format an instance
+// checkpoint is stored in on disk and shipped in between daemons: a
+// codec frame (magic "HRCF", payload version, CRC-32C over the payload)
+// around the binary InstanceCheckpoint encoding. A daemon that crashed
+// mid-write (or a disk that flipped bits) must never feed a half-written
+// snapshot into a restore — a corrupt file is refused with a clear
+// error and the caller falls back to the previous good generation,
+// which the writer rotates to "<path>.1" before each replacement. JSON
+// is only the REST view of a checkpoint; JSON files are refused.
+//
+// Payload, in order:
+//
+//	i64 checkpoint version, string name, string lc, bool compact,
+//	f64 speed, i64 max epochs,
+//	presence byte + uint32-prefixed ScenarioSpec JSON,
+//	uint32-prefixed fleet task indexes,
+//	presence byte + uint32-prefixed engine binary checkpoint (HRCB).
+//
+// The scenario spec stays JSON inside the frame deliberately: it is a
+// small, schema-bearing operator artifact (the same bytes the create
+// API accepts), not bulk state worth a hand-rolled layout.
 
-// CheckpointFileVersion is the envelope format version.
-const CheckpointFileVersion = 1
+// checkpointFileVersion is the payload layout version.
+const checkpointFileVersion = 1
 
-// crcTable is the Castagnoli polynomial, the CRC32-C used by filesystems
-// and storage protocols for exactly this job.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// CheckpointMediaType is the content type of a checkpoint file sent as
+// a create body: cross-daemon migration ships its checkpoint this way.
+const CheckpointMediaType = "application/vnd.heracles.checkpoint"
 
-// checkpointEnvelope is the on-disk frame around a checkpoint payload.
-type checkpointEnvelope struct {
-	Version  int             `json:"envelope_version"`
-	Checksum string          `json:"checksum"` // "crc32c:%08x" over Payload
-	Payload  json.RawMessage `json:"payload"`
+// AppendCheckpointFile serialises a checkpoint into its file form,
+// appending to buf (pass scratch from a previous encode to amortise
+// allocation).
+func AppendCheckpointFile(buf []byte, cp *InstanceCheckpoint) ([]byte, error) {
+	var scJSON []byte
+	if cp.Scenario != nil {
+		var err error
+		if scJSON, err = json.Marshal(cp.Scenario); err != nil {
+			return nil, fmt.Errorf("encode checkpoint scenario spec: %w", err)
+		}
+	}
+	return codec.AppendFrame(buf, codec.InstanceMagic, checkpointFileVersion, func(b []byte) []byte {
+		w := codec.NewWriter(b)
+		w.Int(cp.Version)
+		w.String(cp.Name)
+		w.String(cp.LC)
+		w.Bool(cp.Compact)
+		w.F64(cp.Speed)
+		w.Int(cp.MaxEpochs)
+		w.Bool(cp.Scenario != nil)
+		if cp.Scenario != nil {
+			w.Bytes32(scJSON)
+		}
+		w.Ints(cp.FleetTasks)
+		w.Bool(cp.Engine != nil)
+		if cp.Engine != nil {
+			w.Nest(cp.Engine.AppendBinary)
+		}
+		return w.Bytes()
+	}), nil
 }
 
-// payloadChecksum hashes the compact (whitespace-free) form of the
-// payload: MarshalIndent reflows embedded RawMessage bytes, so the CRC
-// must not depend on formatting — only on content.
-func payloadChecksum(payload []byte) (string, error) {
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, payload); err != nil {
-		return "", fmt.Errorf("checkpoint payload is not valid JSON: %v", err)
-	}
-	return fmt.Sprintf("crc32c:%08x", crc32.Checksum(compact.Bytes(), crcTable)), nil
-}
-
-// EncodeCheckpointFile serializes a checkpoint into its enveloped file
-// form.
-func EncodeCheckpointFile(cp *InstanceCheckpoint) ([]byte, error) {
-	payload, err := json.Marshal(cp)
-	if err != nil {
-		return nil, err
-	}
-	sum, err := payloadChecksum(payload)
-	if err != nil {
-		return nil, err
-	}
-	return json.MarshalIndent(checkpointEnvelope{
-		Version:  CheckpointFileVersion,
-		Checksum: sum,
-		Payload:  payload,
-	}, "", " ")
-}
-
-// DecodeCheckpointFile parses an enveloped checkpoint file, verifying
-// the checksum before the payload is trusted. The format is auto-
-// detected: files opening with the binary magic decode through the
-// binary envelope (ckptbinary.go), everything else through the JSON one.
-// Legacy files written before the envelope existed — a bare
-// InstanceCheckpoint object, which decodes with a nil Payload — are
-// accepted as-is, so old checkpoint directories stay restorable.
+// DecodeCheckpointFile parses a checkpoint file, verifying its frame —
+// kind, version and checksum — before the payload is trusted. It is the
+// only reader of checkpoint files and checkpoint create bodies.
+// Malformed input of any kind returns an error, never a panic.
 func DecodeCheckpointFile(data []byte) (*InstanceCheckpoint, error) {
-	if IsBinaryCheckpointFile(data) {
-		return decodeCheckpointFileBinary(data)
+	payload, err := codec.OpenFrame(data, codec.InstanceMagic, checkpointFileVersion)
+	if err != nil {
+		return nil, err
 	}
-	var env checkpointEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("checkpoint file corrupt or truncated: %v", err)
+	r := codec.NewReader(payload)
+	cp := &InstanceCheckpoint{
+		Version:   r.Int(),
+		Name:      r.String(),
+		LC:        r.String(),
+		Compact:   r.Bool(),
+		Speed:     r.F64(),
+		MaxEpochs: r.Int(),
 	}
-	payload := []byte(env.Payload)
-	if env.Payload == nil {
-		// Legacy bare checkpoint: no envelope, no checksum to verify.
-		payload = data
-	} else {
-		if env.Version != CheckpointFileVersion {
-			return nil, fmt.Errorf("checkpoint file envelope version %d, this build reads version %d", env.Version, CheckpointFileVersion)
+	if r.Bool() {
+		spec := &ScenarioSpec{}
+		if raw := r.Bytes32(); r.Err() == nil {
+			if err := json.Unmarshal(raw, spec); err != nil {
+				return nil, fmt.Errorf("checkpoint scenario spec corrupt: %v", err)
+			}
 		}
-		got, sumErr := payloadChecksum(payload)
-		if sumErr != nil {
-			return nil, fmt.Errorf("checkpoint file corrupt: %v", sumErr)
-		}
-		if got != env.Checksum {
-			return nil, fmt.Errorf("checkpoint file checksum mismatch: header %s, payload %s — file is corrupt", env.Checksum, got)
-		}
+		cp.Scenario = spec
 	}
-	var cp InstanceCheckpoint
-	if err := json.Unmarshal(payload, &cp); err != nil {
+	cp.FleetTasks = r.Ints()
+	if r.Bool() {
+		raw := r.Bytes32()
+		if r.Err() != nil {
+			return nil, fmt.Errorf("checkpoint payload corrupt: %v", r.Err())
+		}
+		eng, err := engine.DecodeCheckpointBinary(raw)
+		if err != nil {
+			return nil, fmt.Errorf("checkpoint engine state corrupt: %v", err)
+		}
+		cp.Engine = eng
+	}
+	if err := r.Expect(); err != nil {
 		return nil, fmt.Errorf("checkpoint payload corrupt: %v", err)
 	}
-	return &cp, nil
+	return cp, nil
 }
 
-// WriteCheckpointFile atomically replaces path with a JSON-enveloped
-// snapshot; WriteCheckpointFileBinary is the binary-envelope twin.
+// WriteCheckpointFile atomically replaces path with a checkpoint file,
+// rotating the previous generation to "<path>.1" (codec.WriteFile).
 func WriteCheckpointFile(path string, cp *InstanceCheckpoint) error {
-	data, err := EncodeCheckpointFile(cp)
+	data, err := AppendCheckpointFile(nil, cp)
 	if err != nil {
 		return err
 	}
-	return writeCheckpointBytes(path, data)
+	return codec.WriteFile(path, data)
 }
 
-// WriteCheckpointFileBinary atomically replaces path with a binary-
-// enveloped snapshot. Readers auto-detect the format, so the two writers
-// are interchangeable per file.
-func WriteCheckpointFileBinary(path string, cp *InstanceCheckpoint) error {
-	data, err := EncodeCheckpointFileBinary(cp)
-	if err != nil {
-		return err
-	}
-	return writeCheckpointBytes(path, data)
-}
-
-// writeCheckpointBytes lands the encoded snapshot atomically: a temp
-// file first (rename is atomic, a crash mid-write never clobbers the
-// live file), with the previous generation rotated to "<path>.1" so one
-// corrupted write still leaves a valid snapshot to fall back to.
-func writeCheckpointBytes(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if _, err := os.Stat(path); err == nil {
-		if err := os.Rename(path, path+".1"); err != nil {
-			return err
-		}
-	}
-	return os.Rename(tmp, path)
-}
-
-// ReadCheckpointFile reads and verifies one enveloped checkpoint file.
+// ReadCheckpointFile reads and verifies one checkpoint file.
 func ReadCheckpointFile(path string) (*InstanceCheckpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -284,7 +284,7 @@ type Instance struct {
 	doneRunning        bool
 	scenarioSpec       *ScenarioSpec // JSON form of the active scenario, for checkpoints
 	panicNext          bool          // armed by the driver-panic fault
-	// lastCP is the supervisor's restart checkpoint in binary-envelope
+	// lastCP is the supervisor's restart checkpoint in checkpoint-file
 	// form: flat bytes instead of a retained object graph, so parked
 	// instances anchor one buffer each in the heap, and the buffer is
 	// reused across refreshes.

@@ -90,11 +90,11 @@ func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 		s.reg.readd(inst, from)
 		return nil, err
 	}
-	// Cross-shard moves travel through the binary wire format — what
+	// Cross-shard moves travel through the checkpoint file format — what
 	// restores is the serialized artifact, exactly as in a cross-process
 	// migration, so the in-process fast path can never drift from the
-	// on-disk one.
-	wire, err := EncodeCheckpointFileBinary(cp)
+	// on-disk one or the wire.
+	wire, err := AppendCheckpointFile(nil, cp)
 	if err != nil {
 		s.reg.readd(inst, from)
 		return nil, fmt.Errorf("encode checkpoint: %w", err)
@@ -124,11 +124,11 @@ func (s *Server) MigrateToShard(id string, target int) (*MigrateResult, error) {
 }
 
 // MigrateToPeer moves the instance onto another daemon: snapshot, POST
-// the restore spec to the peer's create route, stop the origin on
-// success. Epoch hooks and traces are in-process callbacks and do not
-// cross the wire. On any failure — peer unreachable, create rejected —
-// the origin instance is reinstated untouched and the error reports the
-// peer's verdict.
+// the checkpoint file to the peer's create route as CheckpointMediaType,
+// stop the origin on success. Epoch hooks and traces are in-process
+// callbacks and do not cross the wire. On any failure — peer
+// unreachable, create rejected — the origin instance is reinstated
+// untouched and the error reports the peer's verdict.
 func (s *Server) MigrateToPeer(id, peer string) (*MigrateResult, error) {
 	start := time.Now()
 	inst, from, err := s.detach(id)
@@ -140,13 +140,13 @@ func (s *Server) MigrateToPeer(id, peer string) (*MigrateResult, error) {
 		s.reg.readd(inst, from)
 		return nil, err
 	}
-	body, err := json.Marshal(InstanceSpec{Restore: cp})
+	wire, err := AppendCheckpointFile(nil, cp)
 	if err != nil {
 		s.reg.readd(inst, from)
 		return nil, fmt.Errorf("encode checkpoint: %w", err)
 	}
 	url := strings.TrimSuffix(peer, "/") + "/api/v1/instances"
-	resp, err := migrateClient.Post(url, "application/json", bytes.NewReader(body))
+	resp, err := migrateClient.Post(url, CheckpointMediaType, bytes.NewReader(wire))
 	if err != nil {
 		s.reg.readd(inst, from)
 		return nil, &peerError{fmt.Errorf("peer create failed: %w", err)}

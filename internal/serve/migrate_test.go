@@ -3,7 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -139,9 +143,11 @@ func TestMigrateCrossDaemonBitIdentical(t *testing.T) {
 	t.Cleanup(s1.Close)
 	s2 := New(Config{Lab: testLab, Shards: 2})
 	t.Cleanup(s2.Close)
-	ts1 := httptest.NewServer(s1.Handler())
+	rec1 := &createRecorder{Handler: s1.Handler()}
+	ts1 := httptest.NewServer(rec1)
 	t.Cleanup(ts1.Close)
-	ts2 := httptest.NewServer(s2.Handler())
+	rec2 := &createRecorder{Handler: s2.Handler()}
+	ts2 := httptest.NewServer(rec2)
 	t.Cleanup(ts2.Close)
 
 	inst, err := s1.CreateInstance(migrationSpec(migrationPace))
@@ -183,11 +189,107 @@ func TestMigrateCrossDaemonBitIdentical(t *testing.T) {
 		t.Fatalf("migration counters = %d/%d, want 1/1",
 			s1.Registry().Migrations(), s2.Registry().Migrations())
 	}
+	// Both hops shipped the checkpoint file, not JSON.
+	for i, rec := range []*createRecorder{rec1, rec2} {
+		if got := rec.seen(); len(got) != 1 || got[0] != CheckpointMediaType {
+			t.Fatalf("daemon %d create requests carried %q, want one %q", i+1, got, CheckpointMediaType)
+		}
+	}
 	got := finalEngineJSON(t, home)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("cross-daemon migration diverged from the unmigrated run:\n got  %d bytes %s\n want %d bytes %s",
 			len(got), trimJSON(got), len(want), trimJSON(want))
 	}
+}
+
+// createRecorder wraps a daemon's handler, recording the Content-Type
+// of every create request it serves.
+type createRecorder struct {
+	http.Handler
+	mu    sync.Mutex
+	types []string
+}
+
+func (c *createRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost && r.URL.Path == "/api/v1/instances" {
+		c.mu.Lock()
+		c.types = append(c.types, r.Header.Get("Content-Type"))
+		c.mu.Unlock()
+	}
+	c.Handler.ServeHTTP(w, r)
+}
+
+func (c *createRecorder) seen() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.types...)
+}
+
+// TestCreateCheckpointBody drives the create route's two restore
+// encodings. A checkpoint file sent as CheckpointMediaType restores; a
+// corrupt, truncated or oversized one is refused with 400/400/413 and
+// the server keeps serving. A JSON restore keeps working, also under
+// the form content type curl -d sends.
+func TestCreateCheckpointBody(t *testing.T) {
+	s := New(Config{Lab: testLab})
+	t.Cleanup(s.Close)
+	inst, err := s.CreateInstance(InstanceSpec{Speed: SpeedMax, MaxEpochs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitInstance(t, inst, "run complete", func() bool {
+		return inst.Status().State == StateDone
+	})
+	cp, err := inst.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := encodeCkpt(t, cp)
+	restoreJSON, err := json.Marshal(InstanceSpec{Restore: cp})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	post := func(body io.Reader, ctype string) (int, string) {
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/instances", body)
+		req.Header.Set("Content-Type", ctype)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x40
+	oversized := io.MultiReader(bytes.NewReader(valid), io.LimitReader(zeros{}, restoreBodyLimit))
+	for _, c := range []struct {
+		name  string
+		body  io.Reader
+		ctype string
+		want  int
+	}{
+		{"checkpoint file", bytes.NewReader(valid), CheckpointMediaType, http.StatusCreated},
+		{"checkpoint file with parameters", bytes.NewReader(valid), CheckpointMediaType + "; v=1", http.StatusCreated},
+		{"CRC-flipped checkpoint file", bytes.NewReader(flipped), CheckpointMediaType, http.StatusBadRequest},
+		{"truncated checkpoint file", bytes.NewReader(valid[:len(valid)/2]), CheckpointMediaType, http.StatusBadRequest},
+		{"JSON under the checkpoint media type", bytes.NewReader(restoreJSON), CheckpointMediaType, http.StatusBadRequest},
+		{"over-limit checkpoint file", oversized, CheckpointMediaType, http.StatusRequestEntityTooLarge},
+		{"JSON restore", bytes.NewReader(restoreJSON), "application/json", http.StatusCreated},
+		{"JSON restore sent as a form", bytes.NewReader(restoreJSON), "application/x-www-form-urlencoded", http.StatusCreated},
+	} {
+		if code, body := post(c.body, c.ctype); code != c.want {
+			t.Errorf("%s: status %d (%s), want %d", c.name, code, strings.TrimSpace(body), c.want)
+		}
+	}
+	if got := s.Registry().Len(); got != 1+4 {
+		t.Fatalf("registry holds %d instances, want the original plus 4 restores", got)
+	}
+}
+
+// zeros is an endless reader of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
 }
 
 // trimJSON keeps failure output readable: engine checkpoints run to

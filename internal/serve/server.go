@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"strconv"
 	"sync"
@@ -350,19 +351,36 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // decodeBodyLimit is decodeBody with an explicit size cap; an oversized
 // body answers 413 and closes the connection.
 func decodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			apiError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-			return false
-		}
-		apiError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
+	return bodyOK(w, dec.Decode(v))
+}
+
+// decodeCheckpointBody reads a CheckpointMediaType create body, a
+// checkpoint file verified exactly like one on disk, capped at the
+// restore body limit.
+func decodeCheckpointBody(w http.ResponseWriter, r *http.Request) (*InstanceCheckpoint, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, restoreBodyLimit))
+	var cp *InstanceCheckpoint
+	if err == nil {
+		cp, err = DecodeCheckpointFile(data)
 	}
-	return true
+	return cp, bodyOK(w, err)
+}
+
+// bodyOK answers a request body's decode error: 413 when the body
+// exceeded its limit, 400 otherwise. It reports whether err was nil.
+func bodyOK(w http.ResponseWriter, err error) bool {
+	var mbe *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &mbe):
+		apiError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
+	default:
+		apiError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
 }
 
 // instance resolves {id} or writes a 404.
@@ -440,9 +458,17 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"instances": sts})
 }
 
+// handleCreate decodes a JSON InstanceSpec, or a checkpoint file sent
+// as CheckpointMediaType to restore as-is (cross-daemon migration).
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec InstanceSpec
-	if !decodeBodyLimit(w, r, &spec, restoreBodyLimit) {
+	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt == CheckpointMediaType {
+		cp, ok := decodeCheckpointBody(w, r)
+		if !ok {
+			return
+		}
+		spec.Restore = cp
+	} else if !decodeBodyLimit(w, r, &spec, restoreBodyLimit) {
 		return
 	}
 	inst, err := s.CreateInstance(spec)
